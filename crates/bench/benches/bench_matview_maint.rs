@@ -1,14 +1,14 @@
 //! Commit-time materialized-view maintenance microbenches for the
-//! batched, parallel, off-critical-path pipeline:
+//! batched, off-critical-path pipeline:
 //!
 //! 1. **diff splice**: a single-row base UPDATE re-splices one root
 //!    subtree, reusing every value-identical stored node (only the
 //!    changed branch is written);
 //! 2. **coalesce**: a transaction hammering the same hot row N times
 //!    commits one net delta — the root re-extracts once, not N times;
-//! 3. **parallel re-extract**: a commit touching many independent root
-//!    keys runs its pre-lock re-extractions on the dop-capped pool
-//!    (dop 1 vs dop 4 on the same workload);
+//! 3. **multi-root**: a commit touching many independent root keys
+//!    re-extracts each of them before the maintenance lock, serially on
+//!    the committing thread;
 //! 4. **refresh baseline**: `REFRESH MATERIALIZED VIEW` at the same
 //!    scale, for context on what the incremental path avoids.
 //!
@@ -24,8 +24,9 @@ use xnf_plan::PlanOptions;
 const EMPS_PER_DEPT: usize = 8;
 
 /// Paper fixture with *every* department in the CO view (worst-case
-/// maintenance fan-in) and the given re-extraction dop.
-fn maint_db(departments: usize, dop: usize) -> Database {
+/// maintenance fan-in). Queries run serially (dop 1), so the refresh
+/// baseline does not vary with the host's core count.
+fn maint_db(departments: usize) -> Database {
     let db = build_paper_db_with(
         PaperScale {
             departments,
@@ -39,8 +40,7 @@ fn maint_db(departments: usize, dop: usize) -> Database {
         },
         DbConfig {
             plan: PlanOptions {
-                dop,
-                allow_oversubscribe: true,
+                dop: 1,
                 ..Default::default()
             },
             ..Default::default()
@@ -57,7 +57,7 @@ fn eno(d: usize, k: usize) -> usize {
 }
 
 fn bench_diff_splice(c: &mut Criterion) {
-    let db = maint_db(64, 1);
+    let db = maint_db(64);
     let mut g = c.benchmark_group("maint");
     let mut i = 0u64;
     g.bench_function("single_row_update", |b| {
@@ -74,7 +74,7 @@ fn bench_diff_splice(c: &mut Criterion) {
 }
 
 fn bench_coalesce(c: &mut Criterion) {
-    let db = maint_db(64, 1);
+    let db = maint_db(64);
     let session = db.session();
     let mut g = c.benchmark_group("maint");
     let mut i = 0u64;
@@ -96,36 +96,34 @@ fn bench_coalesce(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel_reextract(c: &mut Criterion) {
-    let mut g = c.benchmark_group("maint_multi_root_x8");
-    for dop in [1usize, 4] {
-        let db = maint_db(64, dop);
-        let session = db.session();
-        let mut i = 0u64;
-        g.bench_function(&format!("dop{dop}"), |b| {
-            b.iter(|| {
-                session.begin().unwrap();
-                for d in 0..8 {
-                    i += 1;
-                    session
-                        .execute(
-                            &format!(
-                                "UPDATE EMP SET ename = 'p-{i}' WHERE eno = {}",
-                                eno(d * 8, 3)
-                            ),
-                            &[],
-                        )
-                        .unwrap();
-                }
-                session.commit().unwrap();
-            })
-        });
-    }
+fn bench_multi_root(c: &mut Criterion) {
+    let db = maint_db(64);
+    let session = db.session();
+    let mut g = c.benchmark_group("maint");
+    let mut i = 0u64;
+    g.bench_function("multi_root_x8", |b| {
+        b.iter(|| {
+            session.begin().unwrap();
+            for d in 0..8 {
+                i += 1;
+                session
+                    .execute(
+                        &format!(
+                            "UPDATE EMP SET ename = 'p-{i}' WHERE eno = {}",
+                            eno(d * 8, 3)
+                        ),
+                        &[],
+                    )
+                    .unwrap();
+            }
+            session.commit().unwrap();
+        })
+    });
     g.finish();
 }
 
 fn bench_refresh_baseline(c: &mut Criterion) {
-    let db = maint_db(64, 1);
+    let db = maint_db(64);
     let mut g = c.benchmark_group("maint");
     g.sample_size(10);
     g.bench_function("refresh_baseline", |b| {
@@ -140,7 +138,7 @@ criterion_group!(
     benches,
     bench_diff_splice,
     bench_coalesce,
-    bench_parallel_reextract,
+    bench_multi_root,
     bench_refresh_baseline
 );
 criterion_main!(benches);

@@ -289,54 +289,6 @@ impl ExecOutcome {
     }
 }
 
-/// Counting semaphore sized to the machine: hands out at most
-/// `available_parallelism()` permits. Commit-time matview maintenance
-/// acquires one for its CPU-bound phase so concurrent committers never
-/// oversubscribe the cores with derivation work (see
-/// [`Database::commit_active`]).
-pub(crate) struct MaintGate {
-    slots: std::sync::Mutex<usize>,
-    available: std::sync::Condvar,
-}
-
-impl MaintGate {
-    fn sized_to_hardware() -> Self {
-        let permits = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        MaintGate {
-            slots: std::sync::Mutex::new(permits.max(1)),
-            available: std::sync::Condvar::new(),
-        }
-    }
-
-    pub(crate) fn acquire(&self) -> MaintPermit<'_> {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        while *slots == 0 {
-            slots = self
-                .available
-                .wait(slots)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        *slots -= 1;
-        MaintPermit { gate: self }
-    }
-}
-
-/// RAII permit from [`MaintGate::acquire`]; returns the slot on drop.
-pub(crate) struct MaintPermit<'a> {
-    gate: &'a MaintGate,
-}
-
-impl Drop for MaintPermit<'_> {
-    fn drop(&mut self) {
-        let mut slots = self.gate.slots.lock().unwrap_or_else(|e| e.into_inner());
-        *slots += 1;
-        drop(slots);
-        self.gate.available.notify_one();
-    }
-}
-
 /// An embedded XNF database instance. Shareable across threads
 /// (`Send + Sync`): transaction state lives on [`Session`]s, not here.
 pub struct Database {
@@ -344,18 +296,11 @@ pub struct Database {
     config: DbConfig,
     /// Serializes the *apply* phase of materialized-view maintenance in
     /// commit-stamp order. The expensive re-extraction work runs before
-    /// this lock is taken (against the committing snapshot, in parallel
-    /// across root keys); the lock covers only stamp assignment plus the
-    /// stamp-ordered apply, so concurrent committers no longer serialize
+    /// this lock is taken (against the committing snapshot, serially on
+    /// the committing thread); the lock covers only stamp assignment plus
+    /// the stamp-ordered apply, so concurrent committers do not serialize
     /// behind each other's view derivation work.
     maintenance: Mutex<()>,
-    /// Admission control for the pre-lock maintenance phase: at most
-    /// `available_parallelism()` committers run CPU-bound re-extraction
-    /// concurrently. Running more buys no throughput — the cores are
-    /// already saturated — and deepens the run queue, inflating the tail
-    /// latency of unrelated readers (acute on small machines, where four
-    /// busy committers can turn a 30 µs point read into a 4 ms one).
-    maint_gate: MaintGate,
     /// Which view keys were applied at which commit stamp — how the apply
     /// phase detects precomputations invalidated by an interposed commit.
     maint_tracker: MaintTracker,
@@ -397,7 +342,6 @@ impl Database {
             catalog: Arc::new(Catalog::new(pool)),
             config,
             maintenance: Mutex::new(()),
-            maint_gate: MaintGate::sized_to_hardware(),
             maint_tracker: MaintTracker::default(),
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
@@ -452,7 +396,6 @@ impl Database {
             catalog,
             config,
             maintenance: Mutex::new(()),
-            maint_gate: MaintGate::sized_to_hardware(),
             maint_tracker: MaintTracker::default(),
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
@@ -594,13 +537,15 @@ impl Database {
     /// Commit an open transaction: assign its commit stamp and — when it
     /// produced base-table deltas and materialized views exist — propagate
     /// the deltas to dependent views. Maintenance runs as a two-phase
-    /// pipeline: the per-statement delta chains are coalesced to their net
-    /// per-commit effect, the affected keyed subtrees are re-extracted
-    /// against this transaction's snapshot *before* the maintenance lock
-    /// is taken (in parallel across root keys), and the lock is held only
-    /// for stamp assignment plus the stamp-ordered apply — precomputations
-    /// invalidated by an interposed commit are redone under the lock, so
-    /// the result is always identical to serial commit-order maintenance.
+    /// pipeline, entirely on this (the committing) thread: the
+    /// per-statement delta chains are coalesced to their net per-commit
+    /// effect, the affected keys are re-derived serially against this
+    /// transaction's snapshot *before* the maintenance lock is taken, and
+    /// the lock is held only for stamp assignment plus the stamp-ordered
+    /// apply — precomputations invalidated by an interposed commit are
+    /// redone under the lock, so the result is always identical to serial
+    /// commit-order maintenance. Maintenance adds no parallelism of its
+    /// own; the only parallelism left is query execution.
     pub(crate) fn commit_active(&self, active: ActiveTxn) -> Result<()> {
         let ActiveTxn { txn, delta, .. } = active;
         let maintained = if !delta.is_empty() && self.catalog.has_matviews() {
@@ -611,10 +556,8 @@ impl Database {
                 txn.commit();
                 Ok(())
             } else {
-                // The permit bounds how many committers run the CPU-bound
-                // phases at once to the core count; the mutex below then
-                // serializes only stamp assignment + the apply.
-                let _permit = self.maint_gate.acquire();
+                // The pre-lock phase runs concurrently across committers;
+                // the mutex serializes only stamp assignment + the apply.
                 let pre = crate::matview::prepare_maintenance(self, &delta);
                 let _m = self.maintenance.lock();
                 let stamp = txn.commit();
@@ -1185,7 +1128,7 @@ impl Database {
     fn maintenance_line(&self) -> String {
         let s = self.maint_stats();
         format!(
-            "maintenance: incremental (coalesce, diff splice, parallel re-extract, \
+            "maintenance: incremental (coalesce, diff splice, pre-lock re-extract, \
              stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} mv_maint_us={}\n",
             s.mv_roots_respliced, s.mv_nodes_reused, s.mv_maint_us
         )

@@ -40,15 +40,21 @@
 //!    aggregation, DISTINCT, nested views, recursive COs), and what
 //!    `REFRESH MATERIALIZED VIEW` always does.
 //!
+//! Both keyed kinds share one path (`apply_keyed`): delta → affected keys
+//! → re-derive → apply → record keys; each kind supplies only how it finds
+//! keys, re-derives them and writes them back.
+//!
 //! Commit-time propagation runs as a two-phase pipeline (see
-//! [`prepare_maintenance`] / [`maintain`]): the committing thread first
-//! coalesces its delta chains and re-extracts affected keyed subtrees
-//! against its own snapshot — *outside* the maintenance lock, in parallel
-//! across root keys — then takes the lock only for the stamp-ordered apply.
-//! A per-view applied-key tracker ([`MaintTracker`]) detects precomputed
-//! keys invalidated by an interposed commit; those few are re-extracted
-//! under the lock, so the apply is always equivalent to serial maintenance
-//! in commit-stamp order.
+//! `prepare_maintenance` / `maintain`), all of it on the committing
+//! thread: it first coalesces its delta chains and re-derives the affected
+//! keys against its own snapshot, serially and *outside* the maintenance
+//! lock, then takes the lock only for the stamp-ordered apply. A per-view
+//! applied-key tracker (`MaintTracker`) detects precomputed keys
+//! invalidated by an interposed commit; those few are re-derived under the
+//! lock, so the apply is always equivalent to serial maintenance in
+//! commit-stamp order. Maintenance adds no parallelism of its own: the
+//! only parallelism left is query execution (parallel regions and
+//! multi-stream CO delivery).
 //!
 //! All strategies bump the view's freshness epoch
 //! ([`xnf_storage::MatView::epoch`]).
@@ -57,7 +63,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use xnf_exec::{eval, truthy, ExecStats, OuterCtx, QueryResult, Row, StreamResult, Visibility};
+use xnf_exec::{eval, truthy, ExecStats, OuterCtx, QueryResult, Row, StreamResult};
 use xnf_qgm::OutputKind;
 use xnf_sql::{
     parse_statement, AggFunc, BinOp, Expr, Literal, Select, SelectItem, Statement, TableRef,
@@ -111,16 +117,7 @@ pub(crate) enum SqlStrategy {
         filter: Option<Expr>,
     },
     /// Join view with a partition key: delete-by-key + keyed re-extraction.
-    Keyed {
-        /// `(normalized table, base column)` pairs: a delta on `table`
-        /// yields affected key `row[column]`.
-        sources: Vec<(String, usize)>,
-        /// The key's AST expression (a qualified column of the definition),
-        /// used to build the `key = value` re-extraction restriction.
-        key_expr: Expr,
-        /// Backing column holding the key (delete-by-key via `mv_key`).
-        key_out: usize,
-    },
+    Keyed(SqlKey),
     /// `GROUP BY` over one base table with `COUNT(*)` / `SUM(int col)`
     /// outputs: each delta image adjusts its group's stored row in place.
     GroupedAgg {
@@ -136,6 +133,18 @@ pub(crate) enum SqlStrategy {
     },
     /// Any delta triggers a full recompute.
     Full,
+}
+
+/// Partition key of a keyed relational view.
+pub(crate) struct SqlKey {
+    /// `(normalized table, base column)` pairs: a delta on `table` yields
+    /// affected key `row[column]`.
+    sources: Vec<(String, usize)>,
+    /// The key's AST expression (a qualified column of the definition),
+    /// used to build the `key = value` re-extraction restriction.
+    key_expr: Expr,
+    /// Backing column holding the key (delete-by-key via `mv_key`).
+    key_out: usize,
 }
 
 /// Parsed structure of a materialized CO view.
@@ -331,7 +340,7 @@ fn fill_sql_backing(db: &Database, name: &str, select: &Select, rows: &[Row]) ->
         backing.insert(&Tuple::new(row.clone()))?;
     }
     match analyze_sql_strategy(db, select) {
-        SqlStrategy::Keyed { key_out, .. } => ensure_index(&backing, "mv_key", key_out, false)?,
+        SqlStrategy::Keyed(key) => ensure_index(&backing, "mv_key", key.key_out, false)?,
         // Group rows are located through their first grouping output.
         SqlStrategy::GroupedAgg { groups, .. } => {
             ensure_index(&backing, "mv_key", groups[0].1, false)?
@@ -790,11 +799,11 @@ fn analyze_sql_strategy(db: &Database, select: &Select) -> SqlStrategy {
         if covered.len() == bindings.len() {
             sources.sort();
             sources.dedup();
-            return SqlStrategy::Keyed {
+            return SqlStrategy::Keyed(SqlKey {
                 sources,
                 key_expr: expr.clone(),
                 key_out: pos,
-            };
+            });
         }
     }
     SqlStrategy::Full
@@ -1081,15 +1090,7 @@ impl MaintTracker {
     }
 }
 
-/// One view's precomputed keyed re-extraction.
-enum ViewPre {
-    /// CO view: per affected root key, the re-derived subtree.
-    Co(Vec<(Value, SubResult)>),
-    /// Relational keyed view: per affected key, the re-derived rows.
-    Sql(Vec<(Value, Vec<Row>)>),
-}
-
-/// Keyed re-extractions computed against the committing transaction's
+/// Keyed re-derivations computed against the committing transaction's
 /// snapshot before the maintenance lock is taken — the expensive part of
 /// maintenance, moved off the serialized critical path.
 pub(crate) struct PreMaint {
@@ -1103,15 +1104,16 @@ pub(crate) struct PreMaint {
     /// watermark) cannot pass `base_seq` while this precomputation is
     /// pending.
     _snap: Snapshot,
-    views: HashMap<String, ViewPre>,
+    /// Per keyed view: each affected key with its re-derived contents.
+    views: HashMap<String, Vec<(Value, Derived)>>,
 }
 
-/// Compute every keyed re-extraction `delta` will need, against the
+/// Compute every keyed re-derivation `delta` will need, against the
 /// committing transaction's own snapshot (sees its uncommitted writes plus
-/// everything committed so far). Independent root keys re-extract in
-/// parallel on a dop-capped pool. Returns `None` when there is nothing to
-/// precompute — [`maintain`] then does all work under the lock, exactly as
-/// before. Any error here degrades to that same under-lock path.
+/// everything committed so far), one key at a time on the committing
+/// thread. Returns `None` when there is nothing to precompute —
+/// [`maintain`] then does all work under the lock, exactly as before. Any
+/// error here degrades to that same under-lock path.
 pub(crate) fn prepare_maintenance(db: &Database, delta: &DeltaBatch) -> Option<PreMaint> {
     let generation = db.catalog().generation();
     let plans = db.matview_plans().ok()?;
@@ -1120,62 +1122,32 @@ pub(crate) fn prepare_maintenance(db: &Database, delta: &DeltaBatch) -> Option<P
     }
     let snap = db.catalog().txns().snapshot_for(delta.txn());
     let base_seq = snap.seq;
-    let dop = db.config().plan.dop.max(1);
     let mut views = HashMap::new();
     for plan in plans.iter() {
         if !delta.touches_any(plan.deps.iter().map(|s| s.as_str())) {
             continue;
         }
-        match &plan.body {
-            BodyPlan::Xnf(info) if info.key.is_some() => {
-                let Ok(keys) = co_root_keys(db, info, delta, Some(&snap)) else {
-                    continue;
-                };
-                let keys = dedup_values(keys);
-                if keys.is_empty() || keys.iter().any(|k| k.is_null()) {
-                    continue;
-                }
-                let extract = |k: Value| -> Option<(Value, SubResult)> {
-                    extract_subtrees(db, info, std::slice::from_ref(&k), Some(&snap))
-                        .ok()
-                        .map(|sub| (k, sub))
-                };
-                let subs: Vec<(Value, SubResult)> = if keys.len() >= 2 && dop >= 2 {
-                    xnf_exec::parallel::scoped_fanout(keys, dop, extract)
-                        .into_iter()
-                        .flatten()
-                        .collect()
-                } else {
-                    keys.into_iter().filter_map(extract).collect()
-                };
-                if !subs.is_empty() {
-                    views.insert(plan.name.clone(), ViewPre::Co(subs));
-                }
-            }
-            BodyPlan::Sql {
-                select,
-                strategy:
-                    SqlStrategy::Keyed {
-                        sources, key_expr, ..
-                    },
-            } => {
-                let keys = dedup_values(sql_keyed_keys(sources, delta));
-                let mut pre = Vec::with_capacity(keys.len());
-                let mut ok = true;
-                for k in keys {
-                    match run_keyed_select(db, select, key_expr, &k, Some(snap.clone())) {
-                        Ok(rows) => pre.push((k, rows)),
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok && !pre.is_empty() {
-                    views.insert(plan.name.clone(), ViewPre::Sql(pre));
-                }
-            }
-            _ => {}
+        let Some(kind) = Keyed::of(plan) else {
+            continue;
+        };
+        let Ok(keys) = kind.affected_keys(db, delta, Some(&snap)) else {
+            continue;
+        };
+        // A NULL key recomputes the whole view under the lock.
+        if keys.iter().any(Value::is_null) {
+            continue;
+        }
+        let derived: Vec<(Value, Derived)> = keys
+            .into_iter()
+            .filter_map(|k| {
+                let d = kind
+                    .derive(db, std::slice::from_ref(&k), Some(&snap))
+                    .ok()?;
+                Some((k, d))
+            })
+            .collect();
+        if !derived.is_empty() {
+            views.insert(plan.name.clone(), derived);
         }
     }
     if views.is_empty() {
@@ -1191,7 +1163,7 @@ pub(crate) fn prepare_maintenance(db: &Database, delta: &DeltaBatch) -> Option<P
 
 /// Propagate one commit's (coalesced) delta batch through every dependent
 /// materialized view, stamp-ordered under the maintenance lock. `pre`
-/// carries keyed re-extractions computed against the committing snapshot;
+/// carries keyed re-derivations computed against the committing snapshot;
 /// entries invalidated by an interposed commit (per the [`MaintTracker`])
 /// or by DDL are recomputed here, so the apply is always equivalent to
 /// serial maintenance in commit-stamp order.
@@ -1212,7 +1184,6 @@ pub(crate) fn maintain(
         if !delta.touches_any(plan.deps.iter().map(|s| s.as_str())) {
             continue;
         }
-        let pre_view = pre.and_then(|p| p.views.get(&plan.name).map(|v| (v, p.base_seq)));
         match &plan.body {
             BodyPlan::Sql {
                 strategy:
@@ -1233,28 +1204,12 @@ pub(crate) fn maintain(
                     },
                 ..
             } => apply_grouped(db, plan, table, groups, aggs, filter.as_ref(), delta)?,
-            BodyPlan::Sql {
-                select,
-                strategy:
-                    SqlStrategy::Keyed {
-                        sources,
-                        key_expr,
-                        key_out,
-                    },
-            } => apply_sql_keyed(
-                db, plan, select, sources, key_expr, *key_out, delta, pre_view, stamp, watermark,
-            )?,
-            BodyPlan::Xnf(info) if info.key.is_some() => apply_co_keyed(
-                db,
-                plan,
-                info,
-                delta,
-                pre_view,
-                stamp,
-                watermark,
-                &mut counters,
-            )?,
-            _ => repopulate(db, plan)?,
+            _ => match Keyed::of(plan) {
+                Some(kind) => {
+                    apply_keyed(db, plan, &kind, delta, pre, stamp, watermark, &mut counters)?
+                }
+                None => repopulate(db, plan)?,
+            },
         }
         expect_matview(db, &plan.name)?.bump_epoch();
     }
@@ -1430,148 +1385,168 @@ fn apply_grouped(
     Ok(())
 }
 
-/// Affected key values of a relational keyed view under `delta`.
-fn sql_keyed_keys(sources: &[(String, usize)], delta: &DeltaBatch) -> Vec<Value> {
-    let mut keys = Vec::new();
-    for (table, col) in sources {
-        for d in delta.rows(table) {
-            for img in [d.before(), d.after()].into_iter().flatten() {
-                let v = img.values[*col].clone();
-                if !v.is_null() {
-                    keys.push(v);
+/// The per-kind half of keyed maintenance; [`apply_keyed`] is the shared
+/// half. A keyed relational view is a one-stream CO without relationships:
+/// both kinds re-derive the stored contents of a set of partition keys
+/// straight from the base tables and replace them.
+enum Keyed<'a> {
+    /// Relational join view: its definition and partition key.
+    Sql(&'a Select, &'a SqlKey),
+    /// CO view partitioned by its root key.
+    Co(&'a XnfInfo),
+}
+
+impl<'a> Keyed<'a> {
+    /// The keyed half of `plan`, if its strategy is keyed.
+    fn of(plan: &'a MaintPlan) -> Option<Keyed<'a>> {
+        match &plan.body {
+            BodyPlan::Sql {
+                select,
+                strategy: SqlStrategy::Keyed(key),
+            } => Some(Keyed::Sql(select, key)),
+            BodyPlan::Xnf(info) if info.key.is_some() => Some(Keyed::Co(info)),
+            _ => None,
+        }
+    }
+
+    /// Deduplicated keys whose stored contents `delta` can change. The SQL
+    /// kind reads them straight off the delta images and skips NULLs (a
+    /// NULL key joins nothing); the CO kind walks the relationship graph up
+    /// to the root and reports NULL root keys as they are.
+    fn affected_keys(
+        &self,
+        db: &Database,
+        delta: &DeltaBatch,
+        vis: Option<&Snapshot>,
+    ) -> Result<Vec<Value>> {
+        let keys = match self {
+            Keyed::Sql(_, key) => {
+                let mut keys = Vec::new();
+                for (table, col) in &key.sources {
+                    for d in delta.rows(table) {
+                        for img in [d.before(), d.after()].into_iter().flatten() {
+                            let v = &img.values[*col];
+                            if !v.is_null() {
+                                keys.push(v.clone());
+                            }
+                        }
+                    }
                 }
+                keys
             }
-        }
-    }
-    keys
-}
-
-/// Re-run a keyed view's definition restricted to one key value (the
-/// equality lets the planner use base-table indexes), under the given
-/// visibility.
-fn run_keyed_select(
-    db: &Database,
-    select: &Select,
-    key_expr: &Expr,
-    k: &Value,
-    vis: Visibility,
-) -> Result<Vec<Row>> {
-    let mut restricted = select.clone();
-    let conjunct = Expr::eq(key_expr.clone(), Expr::Literal(value_literal(k)));
-    restricted.where_clause = Some(match restricted.where_clause.take() {
-        Some(w) => Expr::and(w, conjunct),
-        None => conjunct,
-    });
-    let result = db.run_select_vis(&restricted, &xnf_exec::Params::default(), vis)?;
-    Ok(result.try_table()?.rows.clone())
-}
-
-/// Keyed maintenance of a relational join view: delete stored rows carrying
-/// the affected keys, then insert each key's re-derived rows — precomputed
-/// against the committing snapshot when still valid, re-run here otherwise.
-#[allow(clippy::too_many_arguments)]
-fn apply_sql_keyed(
-    db: &Database,
-    plan: &MaintPlan,
-    select: &Select,
-    sources: &[(String, usize)],
-    key_expr: &Expr,
-    key_out: usize,
-    delta: &DeltaBatch,
-    pre: Option<(&ViewPre, u64)>,
-    stamp: u64,
-    watermark: u64,
-) -> Result<()> {
-    let keys = dedup_values(sql_keyed_keys(sources, delta));
-    if keys.is_empty() {
-        return Ok(());
-    }
-    let pre_rows: HashMap<&Value, &Vec<Row>> = match pre {
-        Some((ViewPre::Sql(entries), base_seq)) => entries
-            .iter()
-            .filter(|(k, _)| !db.maint_tracker().is_stale(&plan.name, k, base_seq))
-            .map(|(k, rows)| (k, rows))
-            .collect(),
-        _ => HashMap::new(),
-    };
-    let mv = expect_matview(db, &plan.name)?;
-    let backing = mv
-        .stream(&plan.name)
-        .ok_or_else(|| XnfError::Api(format!("missing backing table for '{}'", plan.name)))?;
-    for k in &keys {
-        // Delete-by-key (served by the `mv_key` index).
-        let stale: Vec<Rid> = backing
-            .find_by_value(key_out, k)?
-            .into_iter()
-            .map(|(rid, _)| rid)
-            .collect();
-        for rid in stale {
-            backing.delete(rid)?;
-        }
-        let recomputed;
-        let rows: &Vec<Row> = match pre_rows.get(k) {
-            Some(rows) => rows,
-            None => {
-                recomputed = run_keyed_select(db, select, key_expr, k, None)?;
-                &recomputed
-            }
+            Keyed::Co(info) => co_root_keys(db, info, delta, vis)?,
         };
-        for row in rows {
-            backing.insert(&Tuple::new(row.clone()))?;
+        Ok(dedup_values(keys))
+    }
+
+    /// Re-derive the contents of `keys` from the base tables under `vis`:
+    /// the definition re-run once per key with a `key = value` restriction
+    /// (so the planner can use base-table indexes), or the keyed CO
+    /// subtree walk.
+    fn derive(&self, db: &Database, keys: &[Value], vis: Option<&Snapshot>) -> Result<Derived> {
+        match self {
+            Keyed::Sql(select, key) => {
+                let mut rows = Vec::new();
+                for k in keys {
+                    let mut restricted = (*select).clone();
+                    let conjunct = Expr::eq(key.key_expr.clone(), Expr::Literal(value_literal(k)));
+                    restricted.where_clause = Some(match restricted.where_clause.take() {
+                        Some(w) => Expr::and(w, conjunct),
+                        None => conjunct,
+                    });
+                    let result =
+                        db.run_select_vis(&restricted, &xnf_exec::Params::default(), vis.cloned())?;
+                    rows.extend(result.try_table()?.rows.iter().cloned());
+                }
+                Ok(Derived {
+                    comp_rows: vec![rows],
+                    conn_rows: Vec::new(),
+                })
+            }
+            Keyed::Co(info) => extract_subtrees(db, info, keys, vis),
         }
     }
-    db.maint_tracker()
-        .record_keys(&plan.name, &keys, stamp, watermark);
-    Ok(())
+
+    /// Replace the stored contents of `keys` with `derived`: delete-by-key
+    /// plus insert for the SQL kind, a diff splice for the CO kind.
+    fn apply(
+        &self,
+        db: &Database,
+        plan: &MaintPlan,
+        keys: &[Value],
+        derived: &Derived,
+        counters: &mut MaintCounters,
+    ) -> Result<()> {
+        match self {
+            Keyed::Sql(_, key) => {
+                let mv = expect_matview(db, &plan.name)?;
+                let backing = mv.stream(&plan.name).ok_or_else(|| {
+                    XnfError::Api(format!("missing backing table for '{}'", plan.name))
+                })?;
+                for k in keys {
+                    for (rid, _) in backing.find_by_value(key.key_out, k)? {
+                        backing.delete(rid)?;
+                    }
+                }
+                for row in &derived.comp_rows[0] {
+                    backing.insert(&Tuple::new(row.clone()))?;
+                }
+                Ok(())
+            }
+            Keyed::Co(info) => {
+                counters.roots_respliced += keys.len() as u64;
+                splice(db, plan, info, keys, derived, counters)
+            }
+        }
+    }
 }
 
-/// Keyed maintenance of a CO view: walk the delta up to affected root
-/// keys, then diff each affected subtree against the stored streams —
-/// using the subtree precomputed against the committing snapshot when the
-/// tracker says no interposed commit touched that key, re-extracting under
-/// the lock otherwise. The key set itself is always re-derived here, under
-/// the lock, so it matches what serial maintenance would compute.
+/// Keyed maintenance: delta → affected keys → re-derive → apply → record
+/// keys. The key set is always derived here, under the lock, so it matches
+/// what serial maintenance would compute. Each key's contents come from
+/// `pre` (derived against the committing snapshot) when the tracker says
+/// no commit re-applied that key since `pre`'s horizon; every other key is
+/// re-derived here against latest-committed state.
 #[allow(clippy::too_many_arguments)]
-fn apply_co_keyed(
+fn apply_keyed(
     db: &Database,
     plan: &MaintPlan,
-    info: &XnfInfo,
+    kind: &Keyed,
     delta: &DeltaBatch,
-    pre: Option<(&ViewPre, u64)>,
+    pre: Option<&PreMaint>,
     stamp: u64,
     watermark: u64,
     counters: &mut MaintCounters,
 ) -> Result<()> {
-    let keys = dedup_values(co_root_keys(db, info, delta, None)?);
+    let keys = kind.affected_keys(db, delta, None)?;
     if keys.is_empty() {
         return Ok(());
     }
-    if keys.iter().any(|k| k.is_null()) {
+    if keys.iter().any(Value::is_null) {
         // A NULL partition key cannot drive the equality index walks
         // (NULL never matches through sql_eq); recompute instead.
         repopulate(db, plan)?;
         db.maint_tracker().record_full(&plan.name, stamp);
         return Ok(());
     }
-    counters.roots_respliced += keys.len() as u64;
-    let pre_subs: HashMap<&Value, &SubResult> = match pre {
-        Some((ViewPre::Co(entries), base_seq)) => entries
-            .iter()
-            .filter(|(k, _)| !db.maint_tracker().is_stale(&plan.name, k, base_seq))
-            .map(|(k, sub)| (k, sub))
-            .collect(),
-        _ => HashMap::new(),
-    };
-    let mut fresh_keys: Vec<Value> = Vec::new();
-    for k in &keys {
-        match pre_subs.get(k) {
-            Some(sub) => splice(db, plan, info, std::slice::from_ref(k), sub, counters)?,
-            None => fresh_keys.push(k.clone()),
+    let mut fresh: HashMap<&Value, &Derived> = HashMap::new();
+    if let Some(p) = pre {
+        for (k, d) in p.views.get(&plan.name).into_iter().flatten() {
+            if !db.maint_tracker().is_stale(&plan.name, k, p.base_seq) {
+                fresh.insert(k, d);
+            }
         }
     }
-    if !fresh_keys.is_empty() {
-        let sub = extract_subtrees(db, info, &fresh_keys, None)?;
-        splice(db, plan, info, &fresh_keys, &sub, counters)?;
+    let mut missing: Vec<Value> = Vec::new();
+    for k in &keys {
+        match fresh.get(k) {
+            Some(d) => kind.apply(db, plan, std::slice::from_ref(k), d, counters)?,
+            None => missing.push(k.clone()),
+        }
+    }
+    if !missing.is_empty() {
+        let derived = kind.derive(db, &missing, None)?;
+        kind.apply(db, plan, &missing, &derived, counters)?;
     }
     db.maint_tracker()
         .record_keys(&plan.name, &keys, stamp, watermark);
@@ -1766,7 +1741,7 @@ fn splice(
     plan: &MaintPlan,
     info: &XnfInfo,
     keys: &[Value],
-    sub: &SubResult,
+    sub: &Derived,
     counters: &mut MaintCounters,
 ) -> Result<()> {
     let key = info.key.as_ref().expect("keyed plan");
@@ -1989,10 +1964,12 @@ fn splice(
     Ok(())
 }
 
-/// The re-extracted sub-universe of the affected roots: projected node
-/// rows per component (value-deduplicated — XNF object sharing) and
-/// connection pairs per relationship, in local positions.
-struct SubResult {
+/// A keyed view's re-derived contents for some keys: rows per stored
+/// stream and connection pairs per relationship, in local positions. A CO
+/// view has one node stream per component (value-deduplicated — XNF object
+/// sharing); a relational view has its one result stream (a bag) and no
+/// relationships.
+struct Derived {
     comp_rows: Vec<Vec<Row>>,
     conn_rows: Vec<Vec<(usize, usize)>>,
 }
@@ -2010,10 +1987,10 @@ fn extract_subtrees(
     info: &XnfInfo,
     keys: &[Value],
     vis: Option<&Snapshot>,
-) -> Result<SubResult> {
+) -> Result<Derived> {
     let key = info.key.as_ref().expect("keyed plan");
     let ncomps = info.comps.len();
-    let mut sub = SubResult {
+    let mut sub = Derived {
         comp_rows: vec![Vec::new(); ncomps],
         conn_rows: vec![Vec::new(); info.rels.len()],
     };
@@ -2025,7 +2002,7 @@ fn extract_subtrees(
             .as_ref()
             .expect("keyed components are base-mapped");
         let table = db.catalog().table(&base.table)?;
-        let filter = component_filter(db, info, c, &table)?;
+        let filter = component_filter(info, c, &table)?;
         bases.push((table, base.columns.clone(), filter));
     }
     let outer = OuterCtx::new();
@@ -2033,7 +2010,7 @@ fn extract_subtrees(
     // `total_cmp`, matching the executor's duplicate elimination).
     let mut seen: Vec<HashMap<Row, usize>> = vec![HashMap::new(); ncomps];
     let push_node =
-        |sub: &mut SubResult, seen: &mut Vec<HashMap<Row, usize>>, c: usize, row: Row| -> usize {
+        |sub: &mut Derived, seen: &mut Vec<HashMap<Row, usize>>, c: usize, row: Row| -> usize {
             if let Some(&pos) = seen[c].get(&row) {
                 return pos;
             }
@@ -2133,12 +2110,10 @@ fn extract_subtrees(
 
 /// Compile one component's selection predicate against its base schema.
 fn component_filter(
-    db: &Database,
     info: &XnfInfo,
     comp: usize,
     table: &Arc<Table>,
 ) -> Result<Option<xnf_plan::PhysExpr>> {
-    let _ = db;
     let name = &info.comps[comp];
     let def = info.flat.defs.iter().find_map(|d| match d {
         XnfDef::Table {

@@ -1,9 +1,18 @@
 //! Unit tests for relational materialized views: DDL, planner
-//! substitution, direct / keyed / full maintenance, refresh, guards.
-//! (CO matview tests live in `tests/matview_equivalence.rs`, which can use
-//! the fixture crate.)
+//! substitution, direct / keyed / full maintenance, refresh, guards — plus
+//! the commit pipeline's stale-precomputation path, which needs the
+//! crate-private `prepare_maintenance` / `maintain` steps. (The fixture
+//! driven CO matview suites live in `tests/matview_equivalence.rs`.)
 
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use xnf_exec::Params;
+
+use crate::co::CoCache;
 use crate::db::Database;
+use crate::matview::{maintain, prepare_maintenance};
+use crate::session::{ActiveTxn, TxnSlot};
 
 fn items_db() -> Database {
     let db = Database::new();
@@ -309,5 +318,137 @@ fn failed_multi_row_dml_still_maintains_applied_prefix() {
         rows_of(&db, "SELECT * FROM small"),
         rows_of(&db, "SELECT id, val FROM ITEMS WHERE val < 20"),
         "view tracks the partially applied statement"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// stale precomputation: a commit interposed between prepare and apply
+// ---------------------------------------------------------------------------
+
+/// Commit transaction A (running `a_sql`) step by step the way
+/// `Database::commit_active` does, with transaction B (`b_sql`, same view
+/// key, different row) committing in between: A precomputes its keyed
+/// maintenance against its own snapshot, B commits and maintains the view,
+/// then A takes the maintenance lock, stamps and applies. A's precomputed
+/// contents predate B, so the apply must see them as stale and re-derive
+/// the key; applying them would silently drop B's change from the view.
+fn commit_around_interposed(db: &Database, a_sql: &str, b_sql: &str) {
+    let slot: TxnSlot = Arc::new(Mutex::new(Some(ActiveTxn::begin(db))));
+    let stmt = xnf_sql::parse_statement(a_sql).unwrap();
+    db.execute_stmt_scoped(&stmt, &Params::default(), Some(&slot))
+        .unwrap();
+    let active = slot.lock().take().unwrap();
+    let delta = active.delta.coalesce();
+    let pre = prepare_maintenance(db, &delta);
+    assert!(pre.is_some(), "A's keyed maintenance was not precomputed");
+
+    db.execute(b_sql).unwrap();
+
+    let _m = db.maintenance_lock().lock();
+    let stamp = active.txn.commit();
+    maintain(db, &delta, pre.as_ref(), stamp).unwrap();
+}
+
+#[test]
+fn sql_keyed_view_rederives_precomputation_outrun_by_interposed_commit() {
+    let db = items_db();
+    let fresh = "SELECT i.grp, i.id, i.val, g.flag FROM ITEMS i, GROUPS g WHERE i.grp = g.gid";
+    db.execute(&format!("CREATE MATERIALIZED VIEW by_grp AS {fresh}"))
+        .unwrap();
+    // Items 3 and 13 share partition key grp = 3.
+    commit_around_interposed(
+        &db,
+        "UPDATE ITEMS SET val = 1000 WHERE id = 3",
+        "UPDATE ITEMS SET val = 2000 WHERE id = 13",
+    );
+    let stored = rows_of(&db, "SELECT * FROM by_grp");
+    assert_eq!(stored, rows_of(&db, fresh), "view diverged from definition");
+    assert!(stored
+        .iter()
+        .any(|r| r[1] == "Int(13)" && r[2] == "Int(2000)"));
+    db.execute("REFRESH MATERIALIZED VIEW by_grp").unwrap();
+    assert_eq!(
+        stored,
+        rows_of(&db, "SELECT * FROM by_grp"),
+        "view != REFRESH"
+    );
+}
+
+/// Value-identity form of a CO: sorted per-component row sets and
+/// per-relationship (parent row, child row) pairs.
+fn co_canon(co: &CoCache) -> Vec<Vec<String>> {
+    let ws = &co.workspace;
+    let mut out: Vec<Vec<String>> = Vec::new();
+    for c in &ws.components {
+        let mut rows: Vec<String> = ws
+            .independent(&c.name)
+            .unwrap()
+            .map(|t| format!("{:?}", t.values()))
+            .collect();
+        rows.sort();
+        rows.dedup();
+        out.push(rows);
+    }
+    for r in &ws.relationships {
+        let mut pairs: Vec<String> = r
+            .connections()
+            .iter()
+            .map(|conn| {
+                format!(
+                    "{:?}->{:?}",
+                    ws.components[r.parent].row(conn[0]),
+                    ws.components[r.children[0]].row(conn[1])
+                )
+            })
+            .collect();
+        pairs.sort();
+        pairs.dedup();
+        out.push(pairs);
+    }
+    out
+}
+
+#[test]
+fn co_keyed_view_rederives_precomputation_outrun_by_interposed_commit() {
+    let db = Database::new();
+    db.execute_batch(
+        "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(20));
+         CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(20), edno INT);
+         CREATE UNIQUE INDEX dept_dno ON DEPT (dno);
+         CREATE UNIQUE INDEX emp_eno ON EMP (eno);
+         CREATE INDEX emp_edno ON EMP (edno);",
+    )
+    .unwrap();
+    for d in 0..4 {
+        db.execute(&format!("INSERT INTO DEPT VALUES ({d}, 'd{d}')"))
+            .unwrap();
+    }
+    for e in 0..12 {
+        db.execute(&format!("INSERT INTO EMP VALUES ({e}, 'e{e}', {})", e % 4))
+            .unwrap();
+    }
+    let definition = "OUT OF xdept AS DEPT, xemp AS EMP, \
+         employs AS (RELATE xdept VIA EMPLOYS, xemp WHERE xdept.dno = xemp.edno) \
+         TAKE *";
+    db.execute(&format!("CREATE MATERIALIZED VIEW dept_co AS {definition}"))
+        .unwrap();
+    // Employees 1 and 5 share root key dno = 1.
+    commit_around_interposed(
+        &db,
+        "UPDATE EMP SET ename = 'a-new' WHERE eno = 1",
+        "UPDATE EMP SET ename = 'b-new' WHERE eno = 5",
+    );
+    let stored = co_canon(&db.fetch_co("dept_co").unwrap());
+    assert_eq!(
+        stored,
+        co_canon(&db.fetch_co(definition).unwrap()),
+        "view diverged from definition"
+    );
+    assert!(stored.iter().flatten().any(|r| r.contains("b-new")));
+    db.execute("REFRESH MATERIALIZED VIEW dept_co").unwrap();
+    assert_eq!(
+        stored,
+        co_canon(&db.fetch_co("dept_co").unwrap()),
+        "view != REFRESH"
     );
 }

@@ -316,9 +316,10 @@ impl<'db> Session<'db> {
     /// versions become visible to new snapshots atomically) and propagate
     /// its accumulated deltas — coalesced to their net effect — to
     /// dependent materialized views. The expensive re-extraction work runs
-    /// against this transaction's snapshot *before* the database's
-    /// maintenance lock; only the stamp-ordered apply is serialized behind
-    /// it, so views still observe transactions in commit order.
+    /// on the calling thread, against this transaction's snapshot and
+    /// *before* the database's maintenance lock; only the stamp-ordered
+    /// apply is serialized behind it, so views still observe transactions
+    /// in commit order.
     pub fn commit(&self) -> Result<()> {
         let active = self.txn.lock().take();
         match active {

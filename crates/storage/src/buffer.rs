@@ -13,7 +13,8 @@
 //! sessions scan pages in parallel and concurrent resolutions only collide
 //! when they hash to the same shard. Pinned frames are never evicted,
 //! which is what makes the resolve-then-lock handoff safe. Eviction is
-//! shard-local (each shard owns `capacity / SHARDS` frames).
+//! shard-local (each shard owns `capacity / shards` frames, at least
+//! `MIN_SHARD_FRAMES` of them unless the whole pool is smaller).
 //!
 //! Durability: when the pool carries a [`Wal`] handle, every write-back of
 //! a dirty page — eviction, [`BufferPool::flush_all`], or
@@ -65,6 +66,10 @@ struct Inner {
 /// Maximum number of independent map shards.
 const MAX_SHARDS: usize = 16;
 
+/// Fewest frames a shard holds (unless the whole pool is smaller): room for
+/// that many threads to pin pages of one shard at the same time.
+const MIN_SHARD_FRAMES: usize = 4;
+
 /// A bounded page cache in front of the [`DiskManager`].
 pub struct BufferPool {
     disk: Arc<DiskManager>,
@@ -89,11 +94,14 @@ impl BufferPool {
 
     fn build(disk: Arc<DiskManager>, capacity: usize, wal: Option<Arc<Wal>>) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
-        // Tiny pools (tests, experiments) keep one frame per shard so the
-        // total stays at the requested capacity and eviction still bites.
-        // Floor division keeps the total frame count ≤ `capacity` (slight
-        // undershoot when it doesn't divide evenly — never overshoot).
-        let shard_count = capacity.min(MAX_SHARDS);
+        // Every shard gets at least MIN_SHARD_FRAMES frames (tiny pools
+        // get fewer shards): a pinned frame cannot be evicted, so a
+        // one-frame shard fails a second concurrent pin — two parallel
+        // scan workers reading pages that hash to one shard — with
+        // `BufferPoolExhausted`. Floor division keeps the total frame count
+        // ≤ `capacity` (slight undershoot when it doesn't divide evenly —
+        // never overshoot), so eviction still bites at the requested size.
+        let shard_count = (capacity / MIN_SHARD_FRAMES).clamp(1, MAX_SHARDS);
         BufferPool {
             disk,
             wal,
