@@ -1,7 +1,7 @@
 //! `CoCache`: the client-side composite object — workspace + updatability
 //! metadata + the query it came from (Fig. 7's picture in one type).
 
-use xnf_exec::Params;
+use xnf_exec::{execute_qep, Params};
 use xnf_sql::{Statement, ViewBody, XnfQuery};
 use xnf_storage::ViewKind;
 
@@ -32,7 +32,8 @@ impl CoCache {
     /// Drop local state and re-extract the CO from the database, using the
     /// parameter bindings of the original fetch.
     pub fn refresh(&mut self, db: &Database) -> Result<()> {
-        let result = db.run_xnf_params(&self.query, &self.params)?;
+        let query = Statement::Xnf(self.query.clone());
+        let result = db.run_uncached(&query, self.params.clone(), None)?;
         self.workspace = Workspace::from_result(&result)?;
         Ok(())
     }
@@ -60,33 +61,28 @@ impl Database {
         } else {
             query_or_view.to_string()
         };
-        let key = normalize_statement(&text);
-        let (compiled, _) = self.compile_cached(&key)?;
-        if compiled.param_count() > 0 {
-            return Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...).fetch_co()",
-                compiled.param_count()
-            )));
-        }
-        let query = match compiled.stmt() {
-            Statement::Xnf(q) => q.clone(),
+        let (compiled, _) = self.compile_cached(&normalize_statement(&text))?;
+        let (query, result) = match compiled.stmt() {
+            Statement::Xnf(q) => {
+                let out = self.execute_compiled(&compiled, Params::default(), None, execute_qep)?;
+                (q.clone(), out.try_rows()?)
+            }
+            // The CREATE VIEW wrapper compiles as DDL; run its query.
             Statement::CreateView {
                 body: ViewBody::Xnf(q),
                 ..
-            } => q.clone(),
+            } => {
+                let query = Statement::Xnf(q.clone());
+                (
+                    q.clone(),
+                    self.run_uncached(&query, Params::default(), None)?,
+                )
+            }
             _ => {
                 return Err(XnfError::Api(
                     "fetch_co expects an OUT OF query or XNF view".into(),
                 ))
             }
-        };
-        let result = match compiled.stmt() {
-            // The cached QEP covers the plain `OUT OF` form; the CREATE VIEW
-            // wrapper compiles to a Statement body, so run its query direct.
-            Statement::Xnf(_) => self
-                .execute_compiled(&compiled, xnf_exec::Params::default())?
-                .try_rows()?,
-            _ => self.run_xnf(&query)?,
         };
         let workspace = Workspace::from_result(&result)?;
         let schema = derive_co_schema(self, &query)?;

@@ -17,15 +17,15 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use xnf_exec::{
-    eval, execute_qep_parallel_with_visibility, execute_qep_with_visibility, ExecStats, OuterCtx,
-    Params, QueryResult, StreamResult, Visibility,
+    eval, execute_qep, execute_qep_parallel, ExecStats, OuterCtx, Params, QueryResult,
+    StreamResult, Visibility,
 };
 use xnf_plan::{plan_query, PhysExpr, PlanOptions, Qep};
 use xnf_qgm::{build_select_query, build_xnf_query, OutputKind, Qgm};
-use xnf_rewrite::{rewrite, RewriteOptions};
+use xnf_rewrite::{rewrite, RewriteError, RewriteOptions, RewriteReport};
 use xnf_sql::{
-    parse_statement, parse_statement_params, parse_statements, ColumnDef, Expr, Select, Statement,
-    TypeName, ViewBody, XnfQuery,
+    parse_statement, parse_statement_params, parse_statements, ColumnDef, Expr, Statement,
+    TypeName, ViewBody,
 };
 use xnf_storage::{
     recover, BufferPool, Catalog, CheckpointSnap, Column, DataType, DiskManager, DiskStats,
@@ -35,7 +35,9 @@ use xnf_storage::{
 
 use crate::error::{Result, XnfError};
 use crate::matview::{MaintPlan, MaintTracker};
-use crate::session::{ActiveTxn, CompiledBody, CompiledStmt, PlanCache, PlanCacheStats, Session};
+use crate::session::{
+    normalize_statement, ActiveTxn, CompiledBody, CompiledStmt, PlanCache, PlanCacheStats, Session,
+};
 
 /// The transaction scope a statement executes in: a session's transaction
 /// slot (the statement joins the open transaction, if any), or `None` for
@@ -458,7 +460,8 @@ impl Database {
     /// Page-integrity counters of the underlying disk: checksum-verified
     /// reads, torn pages repaired from the double-write buffer, and DW
     /// batches fsynced ahead of in-place writes. EXPLAIN's `durability:`
-    /// header surfaces them; ExecStats carries the same fields.
+    /// header surfaces the same counters; they are per instance, so no
+    /// query result's [`ExecStats`] carries them.
     pub fn integrity_stats(&self) -> DiskStats {
         self.catalog.buffer_pool().disk().stats()
     }
@@ -633,9 +636,12 @@ impl Database {
         Ok(())
     }
 
-    /// Checkpoint when enough log has accumulated since the last one.
-    /// Contending commits skip (try-lock): one checkpointer is plenty, and
-    /// a commit must never block behind someone else's page flush.
+    /// Checkpoint when enough log has accumulated since the last one. The
+    /// triggering commit only try-locks the maintenance lock and skips if
+    /// it is taken: one checkpointer is plenty. Other commits can still
+    /// wait on a checkpoint: `checkpoint_locked` holds the maintenance lock
+    /// through `flush_all` + `sync`, and a commit that carries deltas while
+    /// materialized views exist takes that lock for its maintenance.
     fn maybe_checkpoint(&self) {
         let interval = self.config.checkpoint_interval;
         if interval == 0 {
@@ -745,7 +751,7 @@ impl Database {
         })
     }
 
-    // -- compiled-statement path (sessions, prepared statements) ----------
+    // -- the statement path: one front end, one runner ---------------------
 
     /// Look `key` (normalized statement text) up in the shared plan cache,
     /// compiling on miss. Returns the compiled statement and whether it was
@@ -757,88 +763,117 @@ impl Database {
         }
         // Compile outside the cache lock: compilation can be expensive and
         // concurrent sessions must not serialize on it.
-        let compiled = Arc::new(self.compile_statement(key, generation)?);
+        let (stmt, n_params) = parse_statement_params(key)?;
+        let compiled = Arc::new(CompiledStmt {
+            body: self.compile_body(&stmt)?,
+            stmt,
+            n_params,
+            generation,
+        });
         self.plan_cache
             .lock()
             .insert(key.to_string(), Arc::clone(&compiled));
         Ok((compiled, false))
     }
 
-    /// Run the full front end (parse → QGM → rewrite → plan) on one
-    /// statement. Queries compile to a QEP; recursive COs and DDL/DML keep
-    /// their AST and are interpreted at execution time.
-    fn compile_statement(&self, text: &str, generation: u64) -> Result<CompiledStmt> {
-        let (stmt, n_params) = parse_statement_params(text)?;
-        let body = match &stmt {
-            Statement::Select(s) => {
-                let mut qgm = build_select_query(&self.catalog, s)?;
-                rewrite(&mut qgm, self.config.rewrite)?;
-                CompiledBody::Query(Arc::new(plan_query(&self.catalog, &qgm, self.config.plan)?))
-            }
-            Statement::Xnf(q) => {
-                let mut qgm = build_xnf_query(&self.catalog, q)?;
-                match rewrite(&mut qgm, self.config.rewrite) {
-                    Ok(_) => CompiledBody::Query(Arc::new(plan_query(
-                        &self.catalog,
-                        &qgm,
-                        self.config.plan,
-                    )?)),
-                    // Cyclic schema graph: fixpoint evaluation path (Sect. 2).
-                    Err(xnf_rewrite::RewriteError::RecursiveCo) => CompiledBody::RecursiveCo,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            _ => CompiledBody::Statement,
-        };
-        Ok(CompiledStmt {
-            stmt,
-            body,
-            n_params,
-            generation,
-        })
+    /// The front end every statement goes through once parsed: a SELECT
+    /// or `OUT OF` query is built into QGM, rewritten and planned to a QEP;
+    /// an XNF query over a cyclic schema graph, which the rewrite cannot
+    /// lower, is marked for fixpoint evaluation (Sect. 2); DDL and DML stay
+    /// interpreted. The plan cache, uncached statements and every internal
+    /// query (matview populate and re-derive, CO refresh, recursive node
+    /// bodies) compile here.
+    pub(crate) fn compile_body(&self, stmt: &Statement) -> Result<CompiledBody> {
+        match self.rewritten_qgm(stmt) {
+            Ok(Some((qgm, _))) => Ok(CompiledBody::Query(Arc::new(plan_query(
+                &self.catalog,
+                &qgm,
+                self.config.plan,
+            )?))),
+            Ok(None) => Ok(CompiledBody::Statement),
+            Err(XnfError::Rewrite(RewriteError::RecursiveCo)) => Ok(CompiledBody::RecursiveCo),
+            Err(e) => Err(e),
+        }
     }
 
-    /// Execute a compiled statement with parameter bindings (autocommit).
+    /// The front end's QGM half: build a query's QGM and rewrite it
+    /// (`None` for DDL/DML). [`Database::compile_to_qgm`] stops here.
+    fn rewritten_qgm(&self, stmt: &Statement) -> Result<Option<(Qgm, RewriteReport)>> {
+        let mut qgm = match stmt {
+            Statement::Select(s) => build_select_query(&self.catalog, s)?,
+            Statement::Xnf(q) => build_xnf_query(&self.catalog, q)?,
+            _ => return Ok(None),
+        };
+        let report = rewrite(&mut qgm, self.config.rewrite)?;
+        Ok(Some((qgm, report)))
+    }
+
+    /// Execute a compiled statement with `params` inside `scope`: check
+    /// the bindings against the statement's signature, then interpret
+    /// DDL/DML, or hand a query to the runner under the scope's snapshot.
     pub(crate) fn execute_compiled(
         &self,
         compiled: &CompiledStmt,
         params: Params,
-    ) -> Result<ExecOutcome> {
-        self.execute_compiled_scoped(compiled, params, None)
-    }
-
-    /// Execute a compiled statement inside `scope`: reads run against the
-    /// scope's snapshot, writes join its transaction.
-    pub(crate) fn execute_compiled_scoped(
-        &self,
-        compiled: &CompiledStmt,
-        params: Params,
         scope: Scope<'_>,
+        deliver: Deliver,
     ) -> Result<ExecOutcome> {
+        if params.len() < compiled.n_params {
+            return Err(XnfError::Api(format!(
+                "statement has {} unbound parameter(s); bind them with \
+                 session().prepare(...).bind(...)",
+                compiled.n_params - params.len()
+            )));
+        }
         match &compiled.body {
-            CompiledBody::Query(qep) => Ok(ExecOutcome::Rows(execute_qep_with_visibility(
-                &self.catalog,
-                qep,
+            CompiledBody::Statement => self.execute_stmt_scoped(&compiled.stmt, &params, scope),
+            body => Ok(ExecOutcome::Rows(self.run(
+                &compiled.stmt,
+                body,
                 params,
                 scope_visibility(scope),
+                deliver,
             )?)),
+        }
+    }
+
+    /// The runner: execute a compiled query under `vis` — a QEP through
+    /// `deliver`, a recursive CO by fixpoint (which takes no parameters).
+    fn run(
+        &self,
+        stmt: &Statement,
+        body: &CompiledBody,
+        params: Params,
+        vis: Visibility,
+        deliver: Deliver,
+    ) -> Result<QueryResult> {
+        match body {
+            CompiledBody::Query(qep) => Ok(deliver(&self.catalog, qep, params, vis)?),
             CompiledBody::RecursiveCo => {
                 if !params.is_empty() {
                     return Err(XnfError::Api(
                         "parameters are not supported in recursive CO queries".to_string(),
                     ));
                 }
-                let Statement::Xnf(q) = &compiled.stmt else {
+                let Statement::Xnf(q) = stmt else {
                     unreachable!("RecursiveCo body on a non-XNF statement");
                 };
-                Ok(ExecOutcome::Rows(crate::recursion::evaluate_recursive(
-                    self,
-                    q,
-                    scope_visibility(scope),
-                )?))
+                crate::recursion::evaluate_recursive(self, q, vis)
             }
-            CompiledBody::Statement => self.execute_stmt_scoped(&compiled.stmt, &params, scope),
+            CompiledBody::Statement => Err(not_a_query()),
         }
+    }
+
+    /// Compile a query statement outside the plan cache and run it under
+    /// `vis` (`Some(snapshot)` pins its reads; `None` reads latest
+    /// committed).
+    pub(crate) fn run_uncached(
+        &self,
+        stmt: &Statement,
+        params: Params,
+        vis: Visibility,
+    ) -> Result<QueryResult> {
+        self.run(stmt, &self.compile_body(stmt)?, params, vis, execute_qep)
     }
 
     // -- statement execution ----------------------------------------------
@@ -846,15 +881,8 @@ impl Database {
     /// Execute one statement (SQL or XNF). Routed through the shared plan
     /// cache, so repeated statements skip the compilation pipeline.
     pub fn execute(&self, text: &str) -> Result<ExecOutcome> {
-        let key = crate::session::normalize_statement(text);
-        let (compiled, _) = self.compile_cached(&key)?;
-        if compiled.n_params > 0 {
-            return Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...)",
-                compiled.n_params
-            )));
-        }
-        self.execute_compiled(&compiled, Params::default())
+        let (compiled, _) = self.compile_cached(&normalize_statement(text))?;
+        self.execute_compiled(&compiled, Params::default(), None, execute_qep)
     }
 
     /// Execute a batch of semicolon-separated statements; returns the last
@@ -872,8 +900,8 @@ impl Database {
         self.execute_stmt_scoped(stmt, &Params::default(), None)
     }
 
-    /// Execute a parsed statement with parameter bindings inside `scope`
-    /// (the interpreted path for DDL/DML and for uncached queries).
+    /// Execute a parsed statement with parameter bindings inside `scope`:
+    /// queries compile uncached and run, DDL/DML are interpreted.
     pub(crate) fn execute_stmt_scoped(
         &self,
         stmt: &Statement,
@@ -881,14 +909,9 @@ impl Database {
         scope: Scope<'_>,
     ) -> Result<ExecOutcome> {
         match stmt {
-            Statement::Select(s) => Ok(ExecOutcome::Rows(self.run_select_vis(
-                s,
-                params,
-                scope_visibility(scope),
-            )?)),
-            Statement::Xnf(q) => Ok(ExecOutcome::Rows(self.run_xnf_vis(
-                q,
-                params,
+            Statement::Select(_) | Statement::Xnf(_) => Ok(ExecOutcome::Rows(self.run_uncached(
+                stmt,
+                params.clone(),
                 scope_visibility(scope),
             )?)),
             Statement::CreateTable { name, columns } => {
@@ -1013,73 +1036,39 @@ impl Database {
     /// option the paper lists as the natural extension for set-oriented CO
     /// queries (Sect. 6).
     pub fn query_parallel(&self, text: &str) -> Result<QueryResult> {
-        let key = crate::session::normalize_statement(text);
-        let (compiled, _) = self.compile_cached(&key)?;
-        if compiled.n_params > 0 {
-            return Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...)",
-                compiled.n_params
-            )));
-        }
-        match &compiled.body {
-            CompiledBody::Query(qep) => Ok(execute_qep_parallel_with_visibility(
-                &self.catalog,
-                qep,
-                Params::default(),
-                None,
-            )?),
-            CompiledBody::RecursiveCo => {
-                let Statement::Xnf(q) = &compiled.stmt else {
-                    unreachable!("RecursiveCo from a non-XNF statement");
-                };
-                crate::recursion::evaluate_recursive(self, q, None)
-            }
-            CompiledBody::Statement => Err(XnfError::Api(
-                "query_parallel expects SELECT or OUT OF".to_string(),
-            )),
-        }
+        self.query_with(text, execute_qep_parallel)
     }
 
     /// Run a SELECT (or `OUT OF`) and return its stream(s). Routed through
     /// the shared plan cache.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        let key = crate::session::normalize_statement(sql);
-        let (compiled, _) = self.compile_cached(&key)?;
-        match &compiled.body {
-            CompiledBody::Statement => Err(XnfError::Api(
-                "query() expects SELECT or OUT OF".to_string(),
-            )),
-            _ if compiled.n_params > 0 => Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...)",
-                compiled.n_params
-            ))),
-            _ => self
-                .execute_compiled(&compiled, Params::default())?
-                .try_rows(),
+        self.query_with(sql, execute_qep)
+    }
+
+    /// A one-shot cached query whose streams `deliver` hands back.
+    fn query_with(&self, text: &str, deliver: Deliver) -> Result<QueryResult> {
+        let (compiled, _) = self.compile_cached(&normalize_statement(text))?;
+        if let CompiledBody::Statement = compiled.body {
+            return Err(not_a_query());
         }
+        self.execute_compiled(&compiled, Params::default(), None, deliver)?
+            .try_rows()
     }
 
     /// Compile a SELECT or XNF query down to a QEP without running it.
     pub fn compile(&self, text: &str) -> Result<Qep> {
-        let (qgm, _) = self.compile_to_qgm(text)?;
-        Ok(plan_query(&self.catalog, &qgm, self.config.plan)?)
+        match self.compile_body(&parse_statement(text)?)? {
+            CompiledBody::Query(qep) => Ok(Arc::unwrap_or_clone(qep)),
+            CompiledBody::RecursiveCo => Err(RewriteError::RecursiveCo.into()),
+            CompiledBody::Statement => Err(not_a_query()),
+        }
     }
 
     /// Compile to rewritten QGM (exposed for experiments: op counting,
     /// EXPLAIN, figure dumps).
-    pub fn compile_to_qgm(&self, text: &str) -> Result<(Qgm, xnf_rewrite::RewriteReport)> {
-        let stmt = parse_statement(text)?;
-        let mut qgm = match &stmt {
-            Statement::Select(s) => build_select_query(&self.catalog, s)?,
-            Statement::Xnf(q) => build_xnf_query(&self.catalog, q)?,
-            _ => {
-                return Err(XnfError::Api(
-                    "compile() expects SELECT or OUT OF".to_string(),
-                ))
-            }
-        };
-        let report = rewrite(&mut qgm, self.config.rewrite)?;
-        Ok((qgm, report))
+    pub fn compile_to_qgm(&self, text: &str) -> Result<(Qgm, RewriteReport)> {
+        self.rewritten_qgm(&parse_statement(text)?)?
+            .ok_or_else(not_a_query)
     }
 
     /// EXPLAIN: the physical plan as text, with this instance's durability
@@ -1132,70 +1121,6 @@ impl Database {
              stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} mv_maint_us={}\n",
             s.mv_roots_respliced, s.mv_nodes_reused, s.mv_maint_us
         )
-    }
-
-    pub(crate) fn run_select(&self, s: &Select) -> Result<QueryResult> {
-        self.run_select_params(s, &Params::default())
-    }
-
-    pub(crate) fn run_select_params(&self, s: &Select, params: &Params) -> Result<QueryResult> {
-        self.run_select_vis(s, params, None)
-    }
-
-    /// Run a SELECT under an explicit visibility handle (`Some(snapshot)`
-    /// pins reads to that snapshot; `None` reads latest-committed).
-    pub(crate) fn run_select_vis(
-        &self,
-        s: &Select,
-        params: &Params,
-        vis: Visibility,
-    ) -> Result<QueryResult> {
-        let mut qgm = build_select_query(&self.catalog, s)?;
-        rewrite(&mut qgm, self.config.rewrite)?;
-        let qep = plan_query(&self.catalog, &qgm, self.config.plan)?;
-        Ok(execute_qep_with_visibility(
-            &self.catalog,
-            &qep,
-            params.clone(),
-            vis,
-        )?)
-    }
-
-    pub(crate) fn run_xnf(&self, q: &XnfQuery) -> Result<QueryResult> {
-        self.run_xnf_params(q, &Params::default())
-    }
-
-    pub(crate) fn run_xnf_params(&self, q: &XnfQuery, params: &Params) -> Result<QueryResult> {
-        self.run_xnf_vis(q, params, None)
-    }
-
-    pub(crate) fn run_xnf_vis(
-        &self,
-        q: &XnfQuery,
-        params: &Params,
-        vis: Visibility,
-    ) -> Result<QueryResult> {
-        let mut qgm = build_xnf_query(&self.catalog, q)?;
-        match rewrite(&mut qgm, self.config.rewrite) {
-            Ok(_) => {}
-            Err(xnf_rewrite::RewriteError::RecursiveCo) => {
-                // Cyclic schema graph: fixpoint evaluation path (Sect. 2).
-                if !params.is_empty() {
-                    return Err(XnfError::Api(
-                        "parameters are not supported in recursive CO queries".to_string(),
-                    ));
-                }
-                return crate::recursion::evaluate_recursive(self, q, vis);
-            }
-            Err(e) => return Err(e.into()),
-        }
-        let qep = plan_query(&self.catalog, &qgm, self.config.plan)?;
-        Ok(execute_qep_with_visibility(
-            &self.catalog,
-            &qep,
-            params.clone(),
-            vis,
-        )?)
     }
 
     // -- DML ---------------------------------------------------------------
@@ -1403,6 +1328,15 @@ impl Database {
         let closed = ws.finish();
         apply.and(closed).map(|()| n)
     }
+}
+
+/// How the runner delivers a QEP's output streams: [`execute_qep`] (one
+/// after another) or [`execute_qep_parallel`].
+pub(crate) type Deliver = fn(&Catalog, &Qep, Params, Visibility) -> xnf_exec::Result<QueryResult>;
+
+/// The error for a query entry point handed DDL/DML.
+fn not_a_query() -> XnfError {
+    XnfError::Api("expected a SELECT or OUT OF query".to_string())
 }
 
 /// Candidate rows for a DML statement plus the residual row filter.

@@ -63,7 +63,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use xnf_exec::{eval, truthy, ExecStats, OuterCtx, QueryResult, Row, StreamResult};
+use xnf_exec::{eval, truthy, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResult};
 use xnf_qgm::OutputKind;
 use xnf_sql::{
     parse_statement, AggFunc, BinOp, Expr, Literal, Select, SelectItem, Statement, TableRef,
@@ -216,7 +216,7 @@ impl XnfInfo {
 pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) -> Result<()> {
     match body {
         ViewBody::Select(s) => {
-            let result = db.run_select(s)?;
+            let result = db.run_uncached(&Statement::Select(s.clone()), Params::default(), None)?;
             let stream = result.try_table()?;
             let schema = any_schema(&stream.columns);
             db.catalog().create_materialized_view(
@@ -239,7 +239,7 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
                 take: q.take.clone(),
                 restriction: q.restriction.clone(),
             };
-            let result = db.run_xnf(&flat)?;
+            let result = db.run_uncached(&Statement::Xnf(flat.clone()), Params::default(), None)?;
             let mut streams = Vec::with_capacity(result.streams.len());
             for s in &result.streams {
                 let schema = match s.kind {
@@ -298,12 +298,14 @@ fn repopulate(db: &Database, plan: &MaintPlan) -> Result<()> {
     db.catalog().reset_matview_storage(&plan.name)?;
     match &plan.body {
         BodyPlan::Sql { select, .. } => {
-            let result = db.run_select(select)?;
+            let query = Statement::Select(select.clone());
+            let result = db.run_uncached(&query, Params::default(), None)?;
             let stream = result.try_table()?;
             fill_sql_backing(db, &plan.name, select, &stream.rows)?;
         }
         BodyPlan::Xnf(info) => {
-            let result = db.run_xnf(&info.flat)?;
+            let query = Statement::Xnf(info.flat.clone());
+            let result = db.run_uncached(&query, Params::default(), None)?;
             fill_xnf_backing(db, &plan.name, &info.flat, &result)?;
         }
     }
@@ -1454,8 +1456,8 @@ impl<'a> Keyed<'a> {
                         Some(w) => Expr::and(w, conjunct),
                         None => conjunct,
                     });
-                    let result =
-                        db.run_select_vis(&restricted, &xnf_exec::Params::default(), vis.cloned())?;
+                    let restricted = Statement::Select(restricted);
+                    let result = db.run_uncached(&restricted, Params::default(), vis.cloned())?;
                     rows.extend(result.try_table()?.rows.iter().cloned());
                 }
                 Ok(Derived {

@@ -386,7 +386,7 @@ impl<'db> Session<'db> {
     /// inside this session's open transaction, if any.
     pub fn execute(&self, text: &str, params: &[Value]) -> Result<ExecOutcome> {
         let mut prepared = self.prepare(text)?;
-        if !params.is_empty() || prepared.param_count() > 0 {
+        if !params.is_empty() {
             prepared.bind(params)?;
         }
         prepared.execute()
@@ -460,15 +460,12 @@ impl<'db> Prepared<'db> {
     /// Re-validate against DDL and execute with the current bindings.
     pub fn execute(&mut self) -> Result<ExecOutcome> {
         self.revalidate()?;
-        if self.params.len() != self.compiled.n_params {
-            return Err(XnfError::Api(format!(
-                "statement takes {} parameter(s), {} bound — call bind() first",
-                self.compiled.n_params,
-                self.params.len()
-            )));
-        }
-        self.db
-            .execute_compiled_scoped(&self.compiled, Arc::clone(&self.params), Some(&self.txn))
+        self.db.execute_compiled(
+            &self.compiled,
+            Arc::clone(&self.params),
+            Some(&self.txn),
+            xnf_exec::execute_qep,
+        )
     }
 
     /// Bind and execute in one call.

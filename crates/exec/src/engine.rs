@@ -9,7 +9,7 @@ use xnf_storage::Catalog;
 
 use crate::batch::RowBatch;
 use crate::error::{ExecError, Result};
-use crate::eval::{Params, Row};
+use crate::eval::{OuterCtx, Params, Row, Visibility};
 use crate::ops::{build_operator, ExecStats, Runtime};
 
 /// One delivered output stream.
@@ -52,55 +52,46 @@ impl QueryResult {
     }
 }
 
-/// Execute a QEP against a catalog.
-pub fn execute_qep(catalog: &Catalog, qep: &Qep) -> Result<QueryResult> {
-    execute_qep_with_params(catalog, qep, Params::default())
-}
-
-/// Materialise the QEP's shared subplans into the runtime, in id order
-/// (ids are topologically sorted: a shared plan only references lower ids).
-/// Each shared result is a table queue kept in batch form, so its consumers
-/// re-stream it chunk-at-a-time.
-fn materialize_shared(rt: &mut Runtime<'_>, qep: &Qep) -> Result<()> {
+/// Build the runtime for one QEP run — parameter bindings plus the
+/// visibility handle — and materialise the QEP's shared subplans into it,
+/// in id order (ids are topologically sorted: a shared plan only
+/// references lower ids). Each shared result is a table queue kept in
+/// batch form, so its consumers re-stream it chunk-at-a-time.
+fn start_run<'a>(
+    catalog: &'a Catalog,
+    qep: &Qep,
+    params: Params,
+    visibility: Visibility,
+) -> Result<Runtime<'a>> {
+    let mut rt = Runtime::with_ctx(
+        catalog,
+        OuterCtx::with_params_and_visibility(params, visibility),
+    );
+    rt.batch_size = qep.batch_size.max(1);
     for plan in &qep.shared {
         let mut op = build_operator(plan);
         let mut batches: Vec<RowBatch> = Vec::new();
-        while let Some(batch) = op.next_batch(rt)? {
+        while let Some(batch) = op.next_batch(&mut rt)? {
             rt.stats.note_batch(batch.len());
             batches.push(batch);
         }
         rt.shared.push(Arc::new(batches));
     }
-    Ok(())
+    Ok(rt)
 }
 
-/// Execute a QEP with prepared-statement parameter bindings resolved at
-/// `eval` time (the prepare-once/execute-many path). Reads run against a
-/// fresh latest-committed snapshot.
-pub fn execute_qep_with_params(
+/// Execute a QEP, delivering its output streams one after another.
+/// `params` are the prepared-statement bindings, resolved at `eval` time;
+/// `visibility` `Some(snapshot)` pins every scan and index lookup of the
+/// run to that MVCC snapshot (reads inside an open transaction), `None`
+/// reads the latest committed state (autocommit).
+pub fn execute_qep(
     catalog: &Catalog,
     qep: &Qep,
     params: Params,
+    visibility: Visibility,
 ) -> Result<QueryResult> {
-    execute_qep_with_visibility(catalog, qep, params, None)
-}
-
-/// Execute a QEP with parameter bindings under an explicit visibility
-/// handle: `Some(snapshot)` pins every scan and index lookup of the run to
-/// that MVCC snapshot (reads inside an open transaction), `None` reads the
-/// latest committed state (autocommit).
-pub fn execute_qep_with_visibility(
-    catalog: &Catalog,
-    qep: &Qep,
-    params: Params,
-    visibility: crate::eval::Visibility,
-) -> Result<QueryResult> {
-    let mut rt = Runtime::with_ctx(
-        catalog,
-        crate::eval::OuterCtx::with_params_and_visibility(params, visibility),
-    );
-    rt.batch_size = qep.batch_size.max(1);
-    materialize_shared(&mut rt, qep)?;
+    let mut rt = start_run(catalog, qep, params, visibility)?;
     let mut streams = Vec::with_capacity(qep.outputs.len());
     for out in &qep.outputs {
         streams.push(run_output(&mut rt, out)?);
@@ -125,7 +116,7 @@ fn run_output(rt: &mut Runtime<'_>, out: &QepOutput) -> Result<StreamResult> {
     })
 }
 
-/// Execute a QEP delivering the output streams **in parallel**, after
+/// [`execute_qep`], delivering the output streams **in parallel** after
 /// sequentially materialising the shared subplans they all read. This is
 /// the parallelism opportunity the paper calls out for set-oriented CO
 /// extraction (Sect. 5.1 / Sect. 6 "parallelism technology … become\[s\]
@@ -133,37 +124,16 @@ fn run_output(rt: &mut Runtime<'_>, out: &QepOutput) -> Result<StreamResult> {
 /// independent once the common subexpressions exist. The streams are
 /// dispatched over a worker pool capped at the QEP's degree of
 /// parallelism ([`Qep::dop`]), so a CO view with dozens of streams no
-/// longer spawns dozens of threads on a small host.
-pub fn execute_qep_parallel(catalog: &Catalog, qep: &Qep) -> Result<QueryResult> {
-    execute_qep_parallel_with_params(catalog, qep, Params::default())
-}
-
-/// [`execute_qep_parallel`] with a parameter binding table shared across the
-/// stream threads.
-pub fn execute_qep_parallel_with_params(
+/// longer spawns dozens of threads on a small host. The snapshot resolved
+/// for the shared-subplan pass is pinned and handed to every stream
+/// thread, so all streams of one CO extraction read the same state.
+pub fn execute_qep_parallel(
     catalog: &Catalog,
     qep: &Qep,
     params: Params,
+    visibility: Visibility,
 ) -> Result<QueryResult> {
-    execute_qep_parallel_with_visibility(catalog, qep, params, None)
-}
-
-/// [`execute_qep_parallel_with_params`] under an explicit visibility
-/// handle. The snapshot resolved for the shared-subplan pass is pinned and
-/// handed to every stream thread, so all streams of one CO extraction read
-/// the same consistent state.
-pub fn execute_qep_parallel_with_visibility(
-    catalog: &Catalog,
-    qep: &Qep,
-    params: Params,
-    visibility: crate::eval::Visibility,
-) -> Result<QueryResult> {
-    let mut rt = Runtime::with_ctx(
-        catalog,
-        crate::eval::OuterCtx::with_params_and_visibility(params.clone(), visibility),
-    );
-    rt.batch_size = qep.batch_size.max(1);
-    materialize_shared(&mut rt, qep)?;
+    let rt = start_run(catalog, qep, params.clone(), visibility)?;
     let shared = rt.shared.clone();
     let base_stats = rt.stats;
     let batch_size = rt.batch_size;
@@ -184,7 +154,7 @@ pub fn execute_qep_parallel_with_visibility(
                 scope.spawn(move || {
                     let mut rt = Runtime::with_ctx(
                         catalog,
-                        crate::eval::OuterCtx::with_params_and_visibility(params, Some(snapshot)),
+                        OuterCtx::with_params_and_visibility(params, Some(snapshot)),
                     );
                     rt.shared = shared;
                     rt.batch_size = batch_size;

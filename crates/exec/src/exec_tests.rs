@@ -10,6 +10,7 @@ use xnf_sql::{parse_select, parse_xnf};
 use xnf_storage::{BufferPool, Catalog, DataType, DiskManager, Schema, Tuple, Value};
 
 use crate::engine::{execute_qep, QueryResult};
+use crate::eval::Params;
 
 /// The Fig. 1 instance: two ARC departments (d1, d2) plus one elsewhere;
 /// employees e1..e4 (e4 outside ARC); projects p1..p2; skills s1..s5 with
@@ -132,7 +133,7 @@ pub fn run_sql_opts(
     let mut g = build_select_query(cat, &ast).unwrap();
     rewrite(&mut g, ropts).unwrap();
     let qep = plan_query(cat, &g, popts).unwrap();
-    execute_qep(cat, &qep).unwrap()
+    execute_qep(cat, &qep, Params::default(), None).unwrap()
 }
 
 pub fn run_xnf(cat: &Catalog, text: &str) -> QueryResult {
@@ -140,7 +141,7 @@ pub fn run_xnf(cat: &Catalog, text: &str) -> QueryResult {
     let mut g = build_xnf_query(cat, &ast).unwrap();
     rewrite(&mut g, RewriteOptions::default()).unwrap();
     let qep = plan_query(cat, &g, PlanOptions::default()).unwrap();
-    execute_qep(cat, &qep).unwrap()
+    execute_qep(cat, &qep, Params::default(), None).unwrap()
 }
 
 fn ints(result: &QueryResult, col: usize) -> Vec<i64> {

@@ -43,17 +43,21 @@
 //! which snapshot ran; [`ExecStats::rows_skipped_visibility`] counts the
 //! versions the checks hid.
 //!
-//! Entry points: [`execute_qep`] / [`execute_qep_with_params`] (all output
-//! streams of a QEP), [`execute_qep_with_visibility`] (pin a snapshot) and
-//! [`execute_qep_parallel`] (CO output streams dispatched across a worker
-//! pool capped at the QEP's degree of parallelism). Scans of
-//! materialized-view backing tables (`matview scan` nodes) execute exactly
-//! like base-table scans — the catalog resolves the view name to its
-//! backing storage.
+//! Two entry points run a QEP, and they differ only in how the output
+//! streams are delivered: [`execute_qep`] runs them one after another,
+//! [`execute_qep_parallel`] dispatches the streams of a CO result across a
+//! worker pool capped at the QEP's degree of parallelism. Both take the
+//! catalog, the plan, the parameter bindings ([`Params`], resolved at
+//! `eval` time, so one plan serves every binding) and the [`Visibility`]
+//! handle (`Some(snapshot)` pins the run to an open transaction's
+//! snapshot, `None` reads the latest committed state), and both
+//! materialise the shared subplans first. Scans of materialized-view
+//! backing tables (`matview scan` nodes) execute exactly like base-table
+//! scans — the catalog resolves the view name to its backing storage.
 //!
 //! ```
 //! use std::sync::Arc;
-//! use xnf_exec::execute_qep;
+//! use xnf_exec::{execute_qep, Params};
 //! use xnf_plan::{plan_query, PlanOptions};
 //! use xnf_qgm::build_select_query;
 //! use xnf_sql::parse_select;
@@ -65,10 +69,13 @@
 //!     .create_table("EMP", Schema::from_pairs(&[("eno", DataType::Int)]))
 //!     .unwrap();
 //! emp.insert(&Tuple::new(vec![Value::Int(7)])).unwrap();
-//! let s = parse_select("SELECT eno FROM EMP").unwrap();
+//! emp.insert(&Tuple::new(vec![Value::Int(9)])).unwrap();
+//! let s = parse_select("SELECT eno FROM EMP WHERE eno = ?").unwrap();
 //! let qgm = build_select_query(&catalog, &s).unwrap();
 //! let qep = plan_query(&catalog, &qgm, PlanOptions::default()).unwrap();
-//! let result = execute_qep(&catalog, &qep).unwrap();
+//! // Bind `?` to 7 and read the latest committed state.
+//! let params: Params = Arc::new(vec![Value::Int(7)]);
+//! let result = execute_qep(&catalog, &qep, params, None).unwrap();
 //! assert_eq!(result.try_table().unwrap().rows, vec![vec![Value::Int(7)]]);
 //! ```
 
@@ -81,11 +88,7 @@ pub mod ops;
 pub mod parallel;
 
 pub use batch::{BatchBuilder, RowBatch, DEFAULT_BATCH_SIZE};
-pub use engine::{
-    execute_qep, execute_qep_parallel, execute_qep_parallel_with_params,
-    execute_qep_parallel_with_visibility, execute_qep_with_params, execute_qep_with_visibility,
-    QueryResult, StreamResult,
-};
+pub use engine::{execute_qep, execute_qep_parallel, QueryResult, StreamResult};
 pub use error::{ExecError, Result};
 pub use eval::{
     eval, filter_batch, like_match, passes, passes_batch, project_batch, truthy, CompiledPreds,

@@ -69,13 +69,6 @@ pub struct ExecStats {
     /// Wall-clock microseconds spent in commit-time view maintenance
     /// (precompute + stamp-ordered apply).
     pub mv_maint_us: u64,
-    /// Page reads whose torn-page trailer checksum was verified (file
-    /// backend; zero on in-memory databases).
-    pub pages_verified: u64,
-    /// Torn in-place pages restored from the double-write buffer at open.
-    pub torn_pages_repaired: u64,
-    /// Double-write batches fsynced ahead of their in-place page writes.
-    pub dw_batches: u64,
 }
 
 impl ExecStats {
@@ -105,9 +98,6 @@ impl ExecStats {
         self.mv_roots_respliced += other.mv_roots_respliced;
         self.mv_nodes_reused += other.mv_nodes_reused;
         self.mv_maint_us += other.mv_maint_us;
-        self.pages_verified += other.pages_verified;
-        self.torn_pages_repaired += other.torn_pages_repaired;
-        self.dw_batches += other.dw_batches;
     }
 }
 
